@@ -327,6 +327,15 @@ impl RttView {
         }
     }
 
+    /// Records `R(i, j)` in index space (both halves of the symmetric
+    /// table) — for builders that derive one view from another instead
+    /// of from a whole [`RttMatrix`].
+    pub fn set_idx(&mut self, i: u32, j: u32, rtt_ms: f64) {
+        let n = self.nodes.len();
+        self.rtt_ms[i as usize * n + j as usize] = rtt_ms;
+        self.rtt_ms[j as usize * n + i as usize] = rtt_ms;
+    }
+
     /// Node-space lookup (resolves both IDs, then [`RttView::get_idx`]).
     pub fn get(&self, a: NodeId, b: NodeId) -> Option<f64> {
         let (i, j) = (self.index_of(a)?, self.index_of(b)?);

@@ -55,11 +55,17 @@ pub fn partition_pairs(nodes: &[NodeId], shards: usize) -> Vec<Vec<(NodeId, Node
     let mut p = 0usize;
     for (i, &a) in nodes.iter().enumerate() {
         for &b in &nodes[i + 1..] {
-            owned[p % shards].push((a, b));
+            owned[pair_shard(p, shards)].push((a, b));
             p += 1;
         }
     }
     owned
+}
+
+/// The shard [`partition_pairs`] assigns the pair at `ordinal` — its
+/// position in `(i, j)` index order — to.
+pub fn pair_shard(ordinal: usize, shards: usize) -> usize {
+    ordinal % shards
 }
 
 /// Supervision policy.
@@ -206,58 +212,21 @@ impl MergeOutcome {
     /// harness compares across kill/resume boundaries.
     pub fn to_document(&self) -> String {
         let mut out = String::new();
-        out.push_str("# ting merged matrix v2\n");
-        out.push_str("# nodes:");
-        for n in self.matrix.nodes() {
-            let _ = write!(out, " {}", n.0);
-        }
-        out.push('\n');
-        let _ = writeln!(out, "# now_ns: {}", self.now.as_nanos());
-        for c in &self.shards {
-            let _ = writeln!(
-                out,
-                "s\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                c.shard,
-                c.status,
-                c.owned,
-                c.covered,
-                c.stale,
-                c.uncovered,
-                c.oldest_ns.map_or("-".into(), |t| t.to_string()),
-                c.newest_ns.map_or("-".into(), |t| t.to_string()),
+        write_document_header(
+            &mut out,
+            self.matrix.nodes(),
+            self.now.as_nanos(),
+            &self.shards,
+        );
+        for (a, b, rtt) in self.matrix.pairs() {
+            write_matrix_row(
+                &mut out,
+                a,
+                b,
+                rtt,
+                self.measured_at[&ordered(a, b)].as_nanos(),
+                self.lineage.get(&ordered(a, b)).copied(),
             );
-        }
-        let nodes = self.matrix.nodes().to_vec();
-        for (i, &a) in nodes.iter().enumerate() {
-            for &b in &nodes[i + 1..] {
-                if let Some(rtt) = self.matrix.get(a, b) {
-                    let t = self.measured_at[&ordered(a, b)];
-                    match self.lineage.get(&ordered(a, b)) {
-                        Some(l) => {
-                            let _ = writeln!(
-                                out,
-                                "m\t{}\t{}\t{}\t{}\t{}\t{}",
-                                a.0,
-                                b.0,
-                                rtt,
-                                t.as_nanos(),
-                                l.shard,
-                                l.round
-                            );
-                        }
-                        None => {
-                            let _ = writeln!(
-                                out,
-                                "m\t{}\t{}\t{}\t{}\t-\t-",
-                                a.0,
-                                b.0,
-                                rtt,
-                                t.as_nanos()
-                            );
-                        }
-                    }
-                }
-            }
         }
         crate::checkpoint::seal(out)
     }
@@ -271,6 +240,56 @@ impl MergeOutcome {
         let covered: usize = self.shards.iter().map(|c| c.covered).sum();
         covered as f64 / owned as f64
     }
+}
+
+/// Writes the merged document's header — magic, node list, merge
+/// instant — and one coverage row per shard. With [`write_matrix_row`]
+/// this is the format's only writer: [`MergeOutcome::to_document`] and
+/// the live serving pipeline both render through it.
+pub fn write_document_header(
+    out: &mut String,
+    nodes: &[NodeId],
+    now_ns: u64,
+    shards: &[ShardCoverage],
+) {
+    out.push_str(MERGED_MAGIC);
+    out.push_str("\n# nodes:");
+    for n in nodes {
+        let _ = write!(out, " {}", n.0);
+    }
+    let _ = writeln!(out, "\n# now_ns: {now_ns}");
+    let opt = |t: Option<u64>| t.map_or_else(|| "-".to_owned(), |t| t.to_string());
+    for c in shards {
+        let _ = writeln!(
+            out,
+            "s\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+            c.shard,
+            c.status,
+            c.owned,
+            c.covered,
+            c.stale,
+            c.uncovered,
+            opt(c.oldest_ns),
+            opt(c.newest_ns),
+        );
+    }
+}
+
+/// Writes one matrix row: the pair in node-index order, its RTT, its
+/// measurement instant, and its provenance (`-` markers when unknown).
+pub fn write_matrix_row(
+    out: &mut String,
+    a: NodeId,
+    b: NodeId,
+    rtt_ms: f64,
+    measured_at_ns: u64,
+    lineage: Option<Lineage>,
+) {
+    let _ = write!(out, "m\t{}\t{}\t{rtt_ms}\t{measured_at_ns}\t", a.0, b.0);
+    let _ = match lineage {
+        Some(l) => writeln!(out, "{}\t{}", l.shard, l.round),
+        None => writeln!(out, "-\t-"),
+    };
 }
 
 /// The first line of the [`MergeOutcome::to_document`] format.

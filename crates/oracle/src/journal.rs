@@ -23,7 +23,7 @@
 //! have served. The chaos tests drive this by replaying every prefix
 //! of the on-disk bytes.
 
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, Write as _};
 use std::path::PathBuf;
 use ting::checkpoint;
 
@@ -82,11 +82,30 @@ impl Journal {
     /// append-only log. Durable on return; the record is committed by
     /// its `@seal` line. This is step one of a publish — the caller
     /// swaps the oracle next, then calls [`Journal::mark_published`].
+    ///
+    /// An earlier append that failed partway (the process survived an
+    /// ENOSPC or EIO) leaves torn bytes, and recovery stops reading at
+    /// the first of them — so the log is first cut back to its sealed
+    /// prefix, or a retry appended behind the debris would be lost. In
+    /// steady state [`Journal::mark_published`] left the log empty and
+    /// the cut is skipped.
     pub fn append(&self, gen: u64, doc: &str) -> std::io::Result<()> {
         let mut f = std::fs::OpenOptions::new()
             .create(true)
-            .append(true)
+            .read(true)
+            .write(true)
+            .truncate(false)
             .open(self.journal_path())?;
+        let len = f.metadata()?.len();
+        if len > 0 {
+            let mut bytes = Vec::with_capacity(len as usize);
+            f.read_to_end(&mut bytes)?;
+            let sealed = walk_journal(&bytes, |_, _| {}) as u64;
+            if sealed < len {
+                f.set_len(sealed)?;
+            }
+            f.seek(std::io::SeekFrom::Start(sealed))?;
+        }
         f.write_all(frame_record(gen, doc).as_bytes())?;
         f.sync_all()?;
         Ok(())
@@ -175,25 +194,31 @@ fn parse_published(text: &str) -> Result<(u64, String), String> {
 /// from it on is a torn tail.
 fn scan_journal(bytes: &[u8]) -> (Vec<(u64, String)>, bool) {
     let mut records = Vec::new();
+    let sealed = walk_journal(bytes, |gen, body| records.push((gen, body.to_owned())));
+    (records, sealed < bytes.len())
+}
+
+/// Calls `on_record` for every sealed record in order and returns the
+/// length of the sealed prefix.
+fn walk_journal(bytes: &[u8], mut on_record: impl FnMut(u64, &str)) -> usize {
     let mut pos = 0;
     while pos < bytes.len() {
         let Some((gen, len, body_start)) = parse_frame_header(bytes, pos) else {
-            return (records, true);
+            break;
         };
-        let body_end = body_start + len;
-        if body_end > bytes.len() {
-            return (records, true);
-        }
+        let Some(body_end) = body_start.checked_add(len).filter(|&e| e <= bytes.len()) else {
+            break;
+        };
         let Ok(body) = std::str::from_utf8(&bytes[body_start..body_end]) else {
-            return (records, true);
+            break;
         };
         let Some(tail_end) = verify_frame_seal(bytes, body_end, gen, body) else {
-            return (records, true);
+            break;
         };
-        records.push((gen, body.to_owned()));
+        on_record(gen, body);
         pos = tail_end;
     }
-    (records, false)
+    pos
 }
 
 /// Parses `@gen <g> <len>\n` at `pos`; returns `(gen, len, body
@@ -270,6 +295,36 @@ mod tests {
         let r = j.recover().unwrap();
         assert!(r.torn_tail);
         assert_eq!(r.pending, Some((2, "beta\n".to_owned())));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn retry_after_a_failed_append_is_recoverable() {
+        // Generation 1 is published; the append of generation 2 fails
+        // partway (ENOSPC, EIO) and leaves torn bytes, but the process
+        // survives and retries. The retry seals and is served, then a
+        // kill lands before `mark_published`: recovery must serve the
+        // retried generation 2, never fall back to 1.
+        let dir = tempdir("retry");
+        let j = Journal::open(&dir).unwrap();
+        j.append(1, "one\n").unwrap();
+        j.mark_published(1, "one\n").unwrap();
+        let frame = frame_record(2, "two\n");
+        std::fs::write(j.journal_path(), &frame.as_bytes()[..frame.len() / 2]).unwrap();
+        j.append(2, "two\n").unwrap();
+        let r = j.recover().unwrap();
+        assert_eq!(r.serve(), Some(&(2, "two\n".to_owned())));
+        assert!(!r.torn_tail, "the retry cut the torn bytes away");
+        // The sealed prefix survives the cut: a later append keeps it.
+        j.append(3, "three\n").unwrap();
+        let r = j.recover().unwrap();
+        assert_eq!(r.pending, Some((3, "three\n".to_owned())));
+        let log = std::fs::read_to_string(j.journal_path()).unwrap();
+        assert_eq!(
+            log,
+            format!("{frame}{}", frame_record(3, "three\n")),
+            "exactly the two sealed records remain"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -25,6 +25,7 @@
 //! can publish fresher generations forever without ever blocking a
 //! reader or tearing a dataset mid-query.
 
+mod document;
 pub mod journal;
 pub mod pipeline;
 pub mod service;

@@ -6,13 +6,17 @@
 //! [`ting::shard::Supervisor::take_delta`] (never blocking — a bounded
 //! queue coalesces on overflow, because delta application is
 //! idempotent assignment); [`Pipeline::tick`] then folds the queue
-//! into the accumulated matrix, renders the same CRC-sealed merged
+//! into the next generation — the served snapshot's dense tables with
+//! the batch's cells patched in — splices the batch's rows into the
+//! previous generation's document to get the same CRC-sealed merged
 //! document an offline [`ting::shard::Supervisor::merge`] would
 //! produce, stages it through the publish [`Journal`] (append → seal →
 //! swap → truncate), and publishes the generation through the oracle's
 //! swap cell under the *journal's* generation number — so a kill at
 //! any byte and a [`Pipeline::recover`] always serve exactly the last
-//! sealed generation, bit-identical to an uninterrupted run.
+//! sealed generation, bit-identical to an uninterrupted run. Nothing
+//! on the publish path parses a document: formatting is proportional
+//! to the batch, and the rest is copying and one CRC.
 //!
 //! Serving is guarded by the [`TtlPolicy`] ladder, judged against the
 //! snapshot's newest measurement in virtual time: `Fresh` answers pass
@@ -21,17 +25,16 @@
 //! `best_via`) refuse — a stale ordering is the one silent wrong
 //! answer this layer exists to prevent.
 
+use crate::document::{pair_count, pair_ordinal, ServedDocument};
 use crate::journal::{Journal, Recovered};
 use crate::service::{Oracle, OracleReader};
-use crate::snapshot::{DetourAnswer, KNearestAnswer, PointAnswer, QueryError, Snapshot};
+use crate::snapshot::{Cell, DetourAnswer, KNearestAnswer, PointAnswer, QueryError, Snapshot};
 use crate::ttl::{ServingState, TtlPolicy};
 use netsim::{NodeId, SimDuration, SimTime};
 use obs::slo::{SLO_COVERAGE, SLO_PUBLISH_LATENCY, SLO_SHARD_PROGRESS, SLO_STALENESS};
-use obs::{names, Counter, Hist, Lineage, Obs, SloEngine, SloSpec, Value, WindowSpec};
-use std::collections::{HashMap, VecDeque};
-use ting::shard::{
-    parse_merged_document, partition_pairs, MergeDelta, MergeOutcome, ShardCoverage,
-};
+use obs::{names, Counter, Hist, Obs, SloEngine, SloSpec, Value, WindowSpec};
+use std::collections::VecDeque;
+use ting::shard::{parse_merged_document, MergeDelta};
 use ting::RttMatrix;
 
 /// Tuning knobs for the publish loop.
@@ -140,17 +143,13 @@ impl Metrics {
 #[derive(Debug)]
 pub struct Pipeline {
     config: PipelineConfig,
-    nodes: Vec<NodeId>,
-    /// Pair ownership per shard, mirroring the supervisor's partition.
-    owned: Vec<Vec<(NodeId, NodeId)>>,
-    /// Accumulated dataset: every pair any delta ever carried.
-    matrix: RttMatrix,
-    measured_at: HashMap<(NodeId, NodeId), SimTime>,
-    /// Per-pair provenance mirroring `measured_at`'s key set for pairs
-    /// that arrived through deltas (recovered v1 documents may lack it).
-    lineage: HashMap<(NodeId, NodeId), Lineage>,
-    /// Shard status tags from the most recent delta.
+    /// Shard status tags from the most recent delta, indexed by shard
+    /// id; its length is the shard count.
     statuses: Vec<&'static str>,
+    /// The served generation's sealed document, kept with the row
+    /// index the next publish splices into. The accumulated dataset
+    /// itself is the served snapshot's dense tables.
+    document: ServedDocument,
     journal: Option<Journal>,
     oracle: Oracle,
     queue: VecDeque<MergeDelta>,
@@ -190,21 +189,20 @@ impl Pipeline {
         journal: Option<Journal>,
     ) -> Pipeline {
         assert!(config.queue_cap >= 1, "queue capacity must be positive");
-        let owned = partition_pairs(&nodes, shards);
-        let matrix = RttMatrix::new(nodes.clone());
-        let oracle = Oracle::with_obs(Snapshot::from_matrix(&matrix), obs.clone());
+        assert!(shards > 0, "shard count must be positive");
+        let bootstrap = Snapshot::from_matrix(&RttMatrix::new(nodes));
+        let statuses = vec!["live"; shards];
+        let coverage = bootstrap.coverage(&statuses, 0, config.staleness.as_nanos());
+        let document = ServedDocument::render(&bootstrap, 0, &coverage);
+        let oracle = Oracle::with_obs(bootstrap, obs.clone());
         let metrics = Metrics::new(&obs);
         obs.set_gauge("oracle.stale.state", ServingState::Degraded.gauge());
         obs.set_gauge("oracle.pipeline.generation", 1);
         let slo = config.slo.map(|c| c.engine(&obs));
         Pipeline {
             config,
-            nodes,
-            owned,
-            matrix,
-            measured_at: HashMap::new(),
-            lineage: HashMap::new(),
-            statuses: vec!["live"; shards],
+            statuses,
+            document,
             journal,
             oracle,
             queue: VecDeque::new(),
@@ -223,8 +221,11 @@ impl Pipeline {
     /// directory, republishes exactly the last sealed generation (the
     /// pending record when the kill landed between seal and swap, else
     /// the published file), rebuilds the accumulated dataset from it,
-    /// and re-judges serving at `now`. Returns what recovery found so
-    /// harnesses can assert on the crash window they injected.
+    /// and re-judges serving at `now`. The recovered document is
+    /// parsed once; the snapshot, the pipeline's state and the
+    /// document the next publish splices into all come from that one
+    /// parse. Returns what recovery found so harnesses can assert on
+    /// the crash window they injected.
     pub fn recover(
         nodes: Vec<NodeId>,
         shards: usize,
@@ -235,9 +236,10 @@ impl Pipeline {
     ) -> Result<(Pipeline, Recovered), String> {
         let recovered = journal.recover()?;
         let mut p = Pipeline::with_obs(nodes, shards, config, obs, Some(journal));
-        if let Some((gen, doc)) = recovered.serve().cloned() {
-            let parsed = parse_merged_document(&doc)?;
-            if parsed.matrix.nodes() != p.nodes.as_slice() {
+        if let Some((gen, doc)) = recovered.serve() {
+            let gen = *gen;
+            let parsed = parse_merged_document(doc)?;
+            if parsed.matrix.nodes() != p.oracle.snapshot().view().nodes() {
                 return Err("recovered generation's node list differs from the pipeline's".into());
             }
             if parsed.shards.len() != shards {
@@ -246,15 +248,11 @@ impl Pipeline {
                     parsed.shards.len()
                 ));
             }
-            p.matrix = parsed.matrix;
-            p.measured_at = parsed
-                .measured_at_ns
-                .iter()
-                .map(|(&k, &v)| (k, SimTime(v)))
-                .collect();
-            p.lineage = parsed.lineage.clone();
+            let snapshot = Snapshot::from_parsed(&parsed);
             p.statuses = parsed.shards.iter().map(|c| c.status).collect();
-            let snapshot = Snapshot::from_merged_document(&doc)?;
+            let coverage =
+                snapshot.coverage(&p.statuses, parsed.now_ns, p.config.staleness.as_nanos());
+            p.document = ServedDocument::render(&snapshot, parsed.now_ns, &coverage);
             p.oracle
                 .publish_versioned_at(snapshot, gen, Some(now.as_nanos()));
             p.generation = gen;
@@ -266,7 +264,7 @@ impl Pipeline {
                 p.journal
                     .as_ref()
                     .expect("recovering pipeline has a journal")
-                    .mark_published(gen, &doc)
+                    .mark_published(gen, doc)
                     .map_err(|e| format!("completing interrupted publish: {e}"))?;
             }
             if p.obs.is_tracing() {
@@ -352,21 +350,51 @@ impl Pipeline {
         Ok(published)
     }
 
-    /// Drains the queue into the accumulated dataset and pushes one
-    /// generation through journal and swap cell.
+    /// Folds the queue into the next generation and pushes it through
+    /// journal and swap cell. The queue is drained only once the
+    /// generation is durable: a failed append leaves every delta queued,
+    /// so the next tick retries the same batch with no new offer.
     fn publish_queued(&mut self, now: SimTime) -> Result<u64, String> {
         let span = self.obs.span_begin(
             names::ORACLE_PIPELINE_PUBLISH_BEGIN,
             now.as_nanos(),
             vec![("queued", Value::U64(self.queue.len() as u64))],
         );
+        let prev = self.oracle.snapshot();
+        let batch = self.fold_queue(&prev);
+        let statuses = self
+            .queue
+            .back()
+            .expect("publish needs queued data")
+            .statuses
+            .clone();
+        let now_ns = now.as_nanos();
+        let (next, coverage) = prev.patched(
+            batch.iter().map(|&(_, c)| c),
+            now_ns,
+            &statuses,
+            self.config.staleness.as_nanos(),
+        );
+        let document = self.document.splice(
+            &next,
+            now_ns,
+            &coverage,
+            batch.iter().map(|&(p, c)| (p, (c.i, c.j))),
+        );
+        let gen = self.generation + 1;
+        if let Some(j) = &self.journal {
+            j.append(gen, document.text())
+                .map_err(|e| format!("journal append (gen {gen}): {e}"))?;
+        }
+
+        // Durable: the batch leaves the queue and the generation swaps in.
         let mut batch_pairs: u64 = 0;
         while let Some(delta) = self.queue.pop_front() {
             batch_pairs += delta.pairs.len() as u64;
             if let Some(slo) = &mut self.slo {
                 // One observation per delta: did it reach a served
                 // generation within its offer→publish budget?
-                let waited = now.as_nanos().saturating_sub(delta.now.as_nanos());
+                let waited = now_ns.saturating_sub(delta.now.as_nanos());
                 let on_time = waited
                     <= self
                         .config
@@ -374,107 +402,81 @@ impl Pipeline {
                         .expect("engine implies config")
                         .latency_budget
                         .as_nanos();
-                slo.observe(
-                    SLO_PUBLISH_LATENCY,
-                    now.as_nanos(),
-                    on_time as u64,
-                    !on_time as u64,
-                );
-            }
-            for p in delta.pairs {
-                self.matrix.set(p.a, p.b, p.rtt_ms);
-                self.measured_at.insert(ordered(p.a, p.b), p.measured_at);
-                self.lineage.insert(ordered(p.a, p.b), p.lineage);
+                slo.observe(SLO_PUBLISH_LATENCY, now_ns, on_time as u64, !on_time as u64);
             }
             self.last_seq = self.last_seq.max(delta.seq);
-            self.statuses = delta.statuses;
         }
         if let Some(slo) = &mut self.slo {
-            let owned: u64 = self.owned.iter().map(|o| o.len() as u64).sum();
-            let covered = self.measured_at.len() as u64;
-            slo.observe(
-                SLO_COVERAGE,
-                now.as_nanos(),
-                covered,
-                owned.saturating_sub(covered),
-            );
+            let owned = pair_count(next.view().len()) as u64;
+            let covered = next.meta().measured_pairs as u64;
+            slo.observe(SLO_COVERAGE, now_ns, covered, owned.saturating_sub(covered));
         }
         self.obs.set_gauge("oracle.pipeline.queue_depth", 0);
-
-        let doc = self.outcome(now).to_document();
-        let next = self.generation + 1;
-        if let Some(j) = &self.journal {
-            j.append(next, &doc)
-                .map_err(|e| format!("journal append (gen {next}): {e}"))?;
-        }
-        let snapshot = Snapshot::from_merged_document(&doc)?;
-        self.oracle.publish_versioned(snapshot, next);
-        self.generation = next;
-        if let Some(j) = &self.journal {
-            j.mark_published(next, &doc)
-                .map_err(|e| format!("journal publish (gen {next}): {e}"))?;
-        }
+        self.statuses = statuses;
+        self.oracle.publish_versioned(next, gen);
+        self.generation = gen;
+        self.document = document;
         self.last_publish = Some(now);
+        if let Some(j) = &self.journal {
+            j.mark_published(gen, self.document.text())
+                .map_err(|e| format!("journal publish (gen {gen}): {e}"))?;
+        }
         self.metrics.published.inc();
         self.metrics.batch_pairs.record_us(batch_pairs);
-        self.obs
-            .set_gauge("oracle.pipeline.generation", next as i64);
+        self.obs.set_gauge("oracle.pipeline.generation", gen as i64);
         if self.obs.is_tracing() {
             self.obs.span_end(
                 names::ORACLE_PIPELINE_PUBLISH_END,
                 span,
-                now.as_nanos(),
+                now_ns,
                 vec![
-                    ("generation", Value::U64(next)),
+                    ("generation", Value::U64(gen)),
                     ("batch_pairs", Value::U64(batch_pairs)),
                     ("last_seq", Value::U64(self.last_seq)),
                 ],
             );
         }
-        Ok(next)
+        Ok(gen)
     }
 
-    /// Renders the accumulated dataset exactly as
-    /// [`ting::shard::merge_checkpoints`] would: coverage rows over the
-    /// same partition, staleness judged at `now` against the same
-    /// horizon, shard statuses from the latest delta.
-    fn outcome(&self, now: SimTime) -> MergeOutcome {
-        let mut shards = Vec::with_capacity(self.owned.len());
-        for (k, owned) in self.owned.iter().enumerate() {
-            let mut covered = 0;
-            let mut stale = 0;
-            let mut oldest: Option<u64> = None;
-            let mut newest: Option<u64> = None;
-            for &(a, b) in owned {
-                let Some(&t) = self.measured_at.get(&ordered(a, b)) else {
-                    continue;
-                };
-                covered += 1;
-                if now.since(t) >= self.config.staleness {
-                    stale += 1;
-                }
-                let t_ns = t.as_nanos();
-                oldest = Some(oldest.map_or(t_ns, |o| o.min(t_ns)));
-                newest = Some(newest.map_or(t_ns, |n| n.max(t_ns)));
+    /// Every queued pair as an index-space cell keyed by its pair
+    /// ordinal: ascending, one cell per pair, the last queued
+    /// measurement of a pair winning — application order, exactly as
+    /// if the deltas were applied one after another.
+    fn fold_queue(&self, prev: &Snapshot) -> Vec<(usize, Cell)> {
+        let view = prev.view();
+        let index = |n: NodeId| {
+            view.index_of(n)
+                .unwrap_or_else(|| panic!("unknown node {}", n.0))
+        };
+        let mut cells: Vec<(usize, Cell)> = Vec::new();
+        for p in self.queue.iter().flat_map(|d| &d.pairs) {
+            assert!(p.rtt_ms.is_finite(), "non-finite RTT {}", p.rtt_ms);
+            let (a, b) = (index(p.a), index(p.b));
+            if a == b {
+                // The diagonal is 0 by definition and has no row.
+                continue;
             }
-            shards.push(ShardCoverage {
-                shard: k as u32,
-                status: self.statuses[k],
-                owned: owned.len(),
-                covered,
-                stale,
-                uncovered: owned.len() - covered,
-                oldest_ns: oldest,
-                newest_ns: newest,
-            });
+            let (i, j) = (a.min(b), a.max(b));
+            let cell = Cell {
+                i,
+                j,
+                rtt_ms: p.rtt_ms,
+                measured_at_ns: p.measured_at.as_nanos(),
+                lineage: p.lineage,
+            };
+            cells.push((pair_ordinal(view.len(), i, j), cell));
         }
-        MergeOutcome {
-            matrix: self.matrix.clone(),
-            measured_at: self.measured_at.clone(),
-            lineage: self.lineage.clone(),
-            shards,
-            now,
+        // Stable: equal ordinals stay in application order.
+        cells.sort_by_key(|&(p, _)| p);
+        let mut batch: Vec<(usize, Cell)> = Vec::with_capacity(cells.len());
+        for c in cells {
+            match batch.last_mut() {
+                Some(last) if last.0 == c.0 => *last = c,
+                _ => batch.push(c),
+            }
         }
+        batch
     }
 
     /// Re-judges the TTL ladder against the served snapshot's newest
@@ -565,12 +567,11 @@ impl Pipeline {
         self.slo.as_ref()?.totals(name)
     }
 
-    /// The served generation's sealed document, re-rendered at its own
-    /// publish instant — what the chaos harness compares bit-for-bit
-    /// across kill/resume boundaries.
+    /// The served generation's sealed document, as journaled at its
+    /// own publish instant — what the chaos harness compares
+    /// bit-for-bit across kill/resume boundaries.
     pub fn serving_document(&self) -> String {
-        let at = self.last_publish.unwrap_or(SimTime::ZERO);
-        self.outcome(at).to_document()
+        self.document.text().to_owned()
     }
 
     /// A `Send + Sync` handle into the underlying swap cell.
@@ -584,18 +585,11 @@ impl Pipeline {
     }
 }
 
-fn ordered(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use obs::Lineage;
     use ting::shard::DeltaPair;
 
     fn delta(seq: u64, pairs: Vec<(NodeId, NodeId, f64, SimTime)>, now: u64) -> MergeDelta {
@@ -746,6 +740,38 @@ mod tests {
         let g = p.rtt(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(g.answer.rtt_ms, Some(3.0));
         assert_eq!(g.answer.measured_at_ns, Some(3));
+    }
+
+    #[test]
+    fn failed_append_keeps_the_batch_for_the_next_tick() {
+        let dir = std::env::temp_dir().join(format!("ting-pipeline-eisdir-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = Journal::open(&dir).unwrap();
+        // A directory where the log should be: the append's open fails
+        // with EISDIR, which (unlike a permission bit) also fails when
+        // the tests run as root.
+        std::fs::create_dir(journal.journal_path()).unwrap();
+        let mut p = Pipeline::with_obs(nodes(), 1, config(), Obs::off(), Some(journal.clone()));
+        p.offer(delta(1, vec![(NodeId(0), NodeId(1), 7.0, SimTime(5))], 10));
+        assert!(p.tick(SimTime(10)).is_err());
+        assert_eq!(p.generation(), 1, "nothing published");
+        assert_eq!(p.queue_depth(), 1, "the batch stays queued");
+        assert_eq!(p.rtt(NodeId(0), NodeId(1)).unwrap().answer.rtt_ms, None);
+
+        // The fault clears: the next tick retries without a new offer.
+        std::fs::remove_dir(journal.journal_path()).unwrap();
+        assert_eq!(p.tick(SimTime(11)).unwrap(), Some(2));
+        assert_eq!(p.queue_depth(), 0);
+        assert_eq!(
+            p.rtt(NodeId(0), NodeId(1)).unwrap().answer.rtt_ms,
+            Some(7.0)
+        );
+        let r = journal.recover().unwrap();
+        assert_eq!(
+            r.serve().map(|(g, d)| (*g, d.clone())),
+            Some((2, p.serving_document()))
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use netsim::NodeId;
 use obs::{Lineage, Origin};
-use ting::shard::{parse_merged_document, ShardCoverage};
+use ting::shard::{pair_shard, parse_merged_document, MergedDocument, ShardCoverage};
 use ting::{RttMatrix, RttView};
 
 /// Where a snapshot's data came from.
@@ -214,6 +214,16 @@ const NO_LINEAGE: Lineage = Lineage {
     round: u64::MAX,
 };
 
+/// One measured pair of a publish batch, in index space.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cell {
+    pub i: u32,
+    pub j: u32,
+    pub rtt_ms: f64,
+    pub measured_at_ns: u64,
+    pub lineage: Lineage,
+}
+
 /// One immutable generation of the served dataset.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
@@ -265,7 +275,12 @@ impl Snapshot {
     /// richest source: per-pair timestamps, the merge instant, and
     /// per-shard coverage all survive into the snapshot metadata.
     pub fn from_merged_document(text: &str) -> Result<Snapshot, String> {
-        let doc = parse_merged_document(text)?;
+        Ok(Snapshot::from_parsed(&parse_merged_document(text)?))
+    }
+
+    /// [`Snapshot::from_merged_document`] over an already parsed
+    /// document.
+    pub(crate) fn from_parsed(doc: &MergedDocument) -> Snapshot {
         let mut snap = Snapshot::from_matrix(&doc.matrix);
         snap.meta.source = SnapshotSource::MergedCheckpoint;
         snap.meta.now_ns = Some(doc.now_ns);
@@ -297,7 +312,106 @@ impl Snapshot {
             }
             snap.lineage = Some(table);
         }
-        Ok(snap)
+        snap
+    }
+
+    /// The next merged-checkpoint generation: a copy of this
+    /// snapshot's dense tables with `cells` written over them (later
+    /// cells win), judged at `now_ns`. Returns it with its coverage
+    /// rows ([`Snapshot::coverage`] over the patched tables), which
+    /// also give its freshness and measured counts.
+    pub(crate) fn patched(
+        &self,
+        cells: impl IntoIterator<Item = Cell>,
+        now_ns: u64,
+        statuses: &[&'static str],
+        staleness_ns: u64,
+    ) -> (Snapshot, Vec<ShardCoverage>) {
+        let n = self.view.len();
+        let mut view = self.view.clone();
+        let mut times = self
+            .measured_at_ns
+            .clone()
+            .unwrap_or_else(|| vec![NO_TIMESTAMP; n * n]);
+        let mut lineage = self
+            .lineage
+            .clone()
+            .unwrap_or_else(|| vec![NO_LINEAGE; n * n]);
+        for c in cells {
+            let (ij, ji) = (
+                c.i as usize * n + c.j as usize,
+                c.j as usize * n + c.i as usize,
+            );
+            view.set_idx(c.i, c.j, c.rtt_ms);
+            times[ij] = c.measured_at_ns;
+            times[ji] = c.measured_at_ns;
+            lineage[ij] = c.lineage;
+            lineage[ji] = c.lineage;
+        }
+        let mut next = Snapshot {
+            view,
+            measured_at_ns: Some(times),
+            lineage: Some(lineage),
+            meta: SnapshotMeta {
+                version: 0,
+                source: SnapshotSource::MergedCheckpoint,
+                now_ns: Some(now_ns),
+                ..self.meta
+            },
+        };
+        let shards = next.coverage(statuses, now_ns, staleness_ns);
+        next.meta.measured_pairs = shards.iter().map(|c| c.covered).sum();
+        next.meta.oldest_ns = shards.iter().filter_map(|c| c.oldest_ns).min();
+        next.meta.newest_ns = shards.iter().filter_map(|c| c.newest_ns).max();
+        next.meta.shards = Some(summarize_shards(&shards));
+        (next, shards)
+    }
+
+    /// Per-shard coverage rows over this snapshot's pairs, exactly as
+    /// [`ting::shard::merge_checkpoints`] computes them: pairs are
+    /// dealt to `statuses.len()` shards round-robin in `(i, j)` index
+    /// order ([`ting::shard::partition_pairs`]), and a covered pair is
+    /// stale once `staleness_ns` old at `now_ns`.
+    pub(crate) fn coverage(
+        &self,
+        statuses: &[&'static str],
+        now_ns: u64,
+        staleness_ns: u64,
+    ) -> Vec<ShardCoverage> {
+        let mut rows: Vec<ShardCoverage> = statuses
+            .iter()
+            .enumerate()
+            .map(|(k, &status)| ShardCoverage {
+                shard: k as u32,
+                status,
+                owned: 0,
+                covered: 0,
+                stale: 0,
+                uncovered: 0,
+                oldest_ns: None,
+                newest_ns: None,
+            })
+            .collect();
+        let n = self.view.len() as u32;
+        let mut ordinal = 0;
+        for i in 0..n {
+            for j in i + 1..n {
+                let row = &mut rows[pair_shard(ordinal, statuses.len())];
+                ordinal += 1;
+                row.owned += 1;
+                let Some(t) = self.timestamp_idx(i, j) else {
+                    row.uncovered += 1;
+                    continue;
+                };
+                row.covered += 1;
+                if now_ns.saturating_sub(t) >= staleness_ns {
+                    row.stale += 1;
+                }
+                row.oldest_ns = Some(row.oldest_ns.map_or(t, |o| o.min(t)));
+                row.newest_ns = Some(row.newest_ns.map_or(t, |o| o.max(t)));
+            }
+        }
+        rows
     }
 
     pub fn meta(&self) -> &SnapshotMeta {
@@ -327,7 +441,7 @@ impl Snapshot {
     }
 
     /// The pair's measurement instant, in index space.
-    fn timestamp_idx(&self, i: u32, j: u32) -> Option<u64> {
+    pub(crate) fn timestamp_idx(&self, i: u32, j: u32) -> Option<u64> {
         let t = self.measured_at_ns.as_deref()?;
         let v = t[i as usize * self.view.len() + j as usize];
         if v == NO_TIMESTAMP {
@@ -346,7 +460,7 @@ impl Snapshot {
     }
 
     /// The pair's provenance, in index space.
-    fn lineage_idx(&self, i: u32, j: u32) -> Option<Lineage> {
+    pub(crate) fn lineage_idx(&self, i: u32, j: u32) -> Option<Lineage> {
         let t = self.lineage.as_deref()?;
         let l = t[i as usize * self.view.len() + j as usize];
         if l == NO_LINEAGE {
