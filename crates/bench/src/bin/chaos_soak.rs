@@ -2,7 +2,7 @@
 //! self-healing scanner, with invariants checked every round.
 //!
 //! Builds a live network with link faults, relay overload, periodic
-//! churn and mass revivals, and drives the parallel scanner with the
+//! churn and mass revivals, and drives a two-vantage scanner with the
 //! full self-healing stack enabled — relay health + quarantine,
 //! adaptive per-phase timeouts, estimate validation, CRC-sealed
 //! checkpoints. Mid-run the scanner process is "killed": serialized to
@@ -117,7 +117,7 @@ fn storm_run(seed: u64, rounds: u64, kill_at: Option<u64>, obs: Option<&Obs>) ->
             }
             net.refresh_consensus();
         }
-        scanner.run_round_parallel(&mut net, &ting);
+        scanner.run_round(&mut net, &ting);
 
         let measured = scanner.matrix().measured_pairs();
         if measured < prev_measured {
@@ -187,7 +187,7 @@ fn storm_run(seed: u64, rounds: u64, kill_at: Option<u64>, obs: Option<&Obs>) ->
         }
         let next = net.sim.now() + SimDuration::from_secs(1800);
         net.sim.advance_to(next);
-        scanner.run_round_parallel(&mut net, &ting);
+        scanner.run_round(&mut net, &ting);
     }
 
     let snap = ting.metrics.snapshot();

@@ -5,8 +5,8 @@
 //! quantifies that projection in the simulator: it runs a full
 //! all-pairs scan of the same network at several vantage-pool sizes K
 //! and reports the virtual time each takes, the sustained measurement
-//! rate in pairs per virtual hour, and the speedup over the sequential
-//! (K = 1) scanner.
+//! rate in pairs per virtual hour, and the speedup over a single
+//! vantage (K = 1).
 //!
 //! Environment overrides (see `bench` crate docs): `TING_SEED`,
 //! `TING_RELAYS` (default 40), `TING_SAMPLES` (default 3 per circuit),
@@ -32,7 +32,7 @@ fn main() {
 
     println!("# scan_throughput: relays={relays} samples={samples} seed={seed}");
     println!("# k\tmeasured\tfailed\tvirtual_s\tpairs_per_virtual_hour\tspeedup");
-    let mut sequential_s = None;
+    let mut single_s = None;
     for k in ks {
         let mut net = TorNetworkBuilder::live(seed, relays).vantages(k).build();
         let nodes: Vec<NodeId> = net.relays.clone();
@@ -45,10 +45,10 @@ fn main() {
             },
         );
         let ting = Ting::new(TingConfig::with_samples(samples));
-        let report = scanner.run_round_parallel(&mut net, &ting);
+        let report = scanner.run_round(&mut net, &ting);
         let virtual_s = (net.sim.now() - SimTime::ZERO).as_secs_f64();
         let rate = report.measured as f64 / (virtual_s / 3600.0);
-        let speedup = sequential_s.get_or_insert(virtual_s).max(f64::MIN_POSITIVE) / virtual_s;
+        let speedup = single_s.get_or_insert(virtual_s).max(f64::MIN_POSITIVE) / virtual_s;
         println!(
             "{k}\t{}\t{}\t{virtual_s:.1}\t{rate:.0}\t{speedup:.2}",
             report.measured, report.failed

@@ -3,15 +3,18 @@
 //! [`Ting::measure_pair`] is the top-level operation: build `C_xy`,
 //! `C_x`, `C_y`, attach an echo stream to each, sample RTTs under the
 //! configured [`SamplePolicy`], tear everything down, and return the
-//! [`TingMeasurement`]. Circuits are measured sequentially, exactly as
-//! the published tool does.
+//! [`TingMeasurement`]. Circuits are measured one after another, as the
+//! published tool does. [`Ting`] holds the configuration, metrics and
+//! observability of a measurement; the measurement itself runs on the
+//! poll-driven engine in [`crate::parallel`].
 
 use crate::estimator::{CircuitSamples, TingMeasurement};
+use crate::parallel;
 use crate::sampling::SamplePolicy;
 use crate::timeout::{AdaptiveTimeoutConfig, TimeoutEstimators, TimeoutPhase};
-use netsim::{NodeId, SimDuration, SimTime};
+use netsim::{NodeId, SimTime};
 use obs::{Counter, Hist, Obs, Value};
-use tor_sim::{CircuitStatus, MeasurementMetrics, TorNetwork};
+use tor_sim::{MeasurementMetrics, TorNetwork};
 
 /// Ting configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -291,8 +294,8 @@ impl Ting {
 
     /// Bumps the `ting.error.<code>` counter and, at trace level,
     /// records a `ting.error` event naming the failed circuit's span.
-    /// Called at every failure creation site (sequential and
-    /// interleaved), so retried failures count each time they occur.
+    /// Called at every failure creation site, so retried failures count
+    /// each time they occur.
     pub(crate) fn observe_error(&self, err: &TingError, at: SimTime, circuit: obs::SpanId) {
         match err {
             TingError::CircuitBuildFailed { .. } => self.handles.err_circuit.inc(),
@@ -379,7 +382,7 @@ impl Ting {
     }
 
     /// Bumps the probe-timeout counter (kept next to
-    /// `MeasurementMetrics::on_probe_timed_out` at both call sites).
+    /// `MeasurementMetrics::on_probe_timed_out` at its call site).
     pub(crate) fn observe_probe_timeout(&self) {
         self.handles.probe_timeouts.inc();
     }
@@ -393,23 +396,9 @@ impl Ting {
         x: NodeId,
         y: NodeId,
     ) -> Result<TingMeasurement, TingError> {
-        let started = net.sim.now();
-        let (w, z) = (net.local_w, net.local_z);
-        let full = self.sample_circuit_resilient_traced(net, vec![w, x, y, z], "full")?;
-        let x_leg = self.sample_circuit_resilient_traced(net, vec![w, x], "x")?;
-        let y_leg = self.sample_circuit_resilient_traced(net, vec![w, y], "y")?;
-        let elapsed_s = (net.sim.now() - started).as_secs_f64();
-        Ok(TingMeasurement {
-            full,
-            x_leg,
-            y_leg,
-            elapsed_s,
-        })
-    }
-
-    /// An absolute deadline `timeout_ms` from now, if configured.
-    fn deadline(net: &TorNetwork, timeout_ms: Option<f64>) -> Option<SimTime> {
-        timeout_ms.map(|ms| net.sim.now() + SimDuration::from_millis_f64(ms))
+        let (w, z, _) = net.vantage_endpoints(0);
+        parallel::drive_one(net, self, parallel::pair_circuits(w, x, y, z))
+            .map(parallel::pair_measurement)
     }
 
     /// The backoff pause before retry `attempt` (1-based) of a circuit:
@@ -425,180 +414,26 @@ impl Ting {
         )
     }
 
-    /// [`Ting::sample_circuit`] under the retry policy: rebuilds the
-    /// circuit through the same relays after transient failures, with
-    /// exponential backoff, and returns the last error once attempts
-    /// are exhausted. Permanent (policy) failures return immediately.
-    pub fn sample_circuit_resilient(
-        &self,
-        net: &mut TorNetwork,
-        path: Vec<NodeId>,
-    ) -> Result<CircuitSamples, TingError> {
-        let kind = circuit_kind_of(&path);
-        self.sample_circuit_resilient_traced(net, path, kind)
-    }
-
-    /// [`Ting::sample_circuit_resilient`] with the circuit's estimator
-    /// role (`full`/`x`/`y`) known, so every attempt's trace span says
-    /// which Eq. (4) term it sampled.
-    pub(crate) fn sample_circuit_resilient_traced(
-        &self,
-        net: &mut TorNetwork,
-        path: Vec<NodeId>,
-        kind: &'static str,
-    ) -> Result<CircuitSamples, TingError> {
-        let attempts = self.config.max_attempts.max(1);
-        let mut last_err = None;
-        for attempt in 1..=attempts {
-            if attempt > 1 {
-                let pause_ms = self.backoff_ms(&path, attempt - 1);
-                self.metrics.on_retry();
-                self.observe_retry(attempt, net.sim.now());
-                self.metrics.trace(format!(
-                    "retry attempt={attempt} path={:?} backoff_ms={pause_ms:.1}",
-                    path.iter().map(|n| n.0).collect::<Vec<_>>()
-                ));
-                let t = net.sim.now() + SimDuration::from_millis_f64(pause_ms);
-                net.sim.advance_to(t);
-            }
-            match self.sample_circuit_traced(net, path.clone(), kind, attempt) {
-                Ok(samples) => return Ok(samples),
-                Err(e) => {
-                    if !e.is_retryable() {
-                        return Err(e);
-                    }
-                    last_err = Some(e);
-                }
-            }
-        }
-        Err(last_err.expect("at least one attempt ran"))
-    }
-
     /// Builds one circuit, attaches an echo stream, samples RTTs under
-    /// the policy, and tears the circuit down. Each phase runs under its
-    /// configured timeout; probes that miss their deadline are dropped
-    /// from the sample set (a late echo can only inflate a minimum-based
-    /// estimator if it is mistaken for a fresh reply, so probes are
-    /// content-tagged and matched).
+    /// the policy, and tears the circuit down, retrying under the
+    /// config's retry policy like [`Ting::measure_pair`] (set
+    /// `max_attempts: 1` for a single attempt). Each phase runs under
+    /// its configured timeout; probes that miss their deadline are
+    /// dropped from the sample set (a late echo can only inflate a
+    /// minimum-based estimator if it is mistaken for a fresh reply, so
+    /// probes are content-tagged and matched).
     pub fn sample_circuit(
         &self,
         net: &mut TorNetwork,
         path: Vec<NodeId>,
     ) -> Result<CircuitSamples, TingError> {
         let kind = circuit_kind_of(&path);
-        self.sample_circuit_traced(net, path, kind, 1)
-    }
-
-    /// [`Ting::sample_circuit`] with its trace identity (estimator role
-    /// and 1-based attempt number) known. The attempt is wrapped in a
-    /// `ting.circuit` span closed on *every* exit path — success and
-    /// each early error return alike.
-    pub(crate) fn sample_circuit_traced(
-        &self,
-        net: &mut TorNetwork,
-        path: Vec<NodeId>,
-        kind: &'static str,
-        attempt: u32,
-    ) -> Result<CircuitSamples, TingError> {
-        let span = self.observe_circuit_begin(&path, kind, attempt, 0, net.sim.now());
-        let build_started = net.sim.now();
-        let build_deadline = Self::deadline(net, self.phase_timeout_ms(TimeoutPhase::Build));
-        let circuit = net.controller.build_circuit(&mut net.sim, path.clone());
-        match build_deadline {
-            Some(d) => net.sim.run_until_idle_or(d),
-            None => net.sim.run_until_idle(),
-        };
-        if net.controller.circuit_status(circuit) != CircuitStatus::Ready {
-            // A local policy rejection (one-hop path, repeated or
-            // unknown relay) can never succeed on retry; anything else
-            // — timeout, refused extend, crashed relay — can.
-            let permanent = net.controller.circuit_error(circuit).is_some();
-            self.metrics.on_circuit_failed();
-            self.metrics.trace(format!(
-                "circuit_failed path={:?} permanent={permanent}",
-                path.iter().map(|n| n.0).collect::<Vec<_>>()
-            ));
-            net.controller.close_circuit(&mut net.sim, circuit);
-            let err = TingError::CircuitBuildFailed { path, permanent };
-            self.observe_error(&err, net.sim.now(), span);
-            self.observe_circuit_end(span, err.code(), net.sim.now());
-            return Err(err);
-        }
-        self.observe_phase_ms(
-            TimeoutPhase::Build,
-            net.sim.now().since(build_started).as_millis_f64(),
-            net.sim.now(),
-            span,
-        );
-        let echo = net.echo_server;
-        let open_started = net.sim.now();
-        let stream_deadline = Self::deadline(net, self.phase_timeout_ms(TimeoutPhase::Stream));
-        let Some(stream) =
-            net.controller
-                .open_stream_and_wait_until(&mut net.sim, circuit, echo, stream_deadline)
-        else {
-            self.metrics
-                .trace(format!("stream_failed circuit={}", circuit.0));
-            net.controller.close_circuit(&mut net.sim, circuit);
-            self.observe_error(&TingError::StreamFailed, net.sim.now(), span);
-            self.observe_circuit_end(span, TingError::StreamFailed.code(), net.sim.now());
-            return Err(TingError::StreamFailed);
-        };
-        self.observe_phase_ms(
-            TimeoutPhase::Stream,
-            net.sim.now().since(open_started).as_millis_f64(),
-            net.sim.now(),
-            span,
-        );
-
-        let mut samples: Vec<f64> = Vec::new();
-        let mut lost: u32 = 0;
-        let mut probe_idx: u64 = 0;
-        while self.config.policy.wants_more(&samples) {
-            if self.config.probe_spacing_ms > 0.0 && probe_idx > 0 {
-                let t = net.sim.now() + SimDuration::from_millis_f64(self.config.probe_spacing_ms);
-                net.sim.advance_to(t);
-            }
-            let payload = self.probe_payload(probe_idx);
-            probe_idx += 1;
-            let probe_deadline = Self::deadline(net, self.phase_timeout_ms(TimeoutPhase::Probe));
-            match net.controller.echo_roundtrip_ms_until(
-                &mut net.sim,
-                stream,
-                payload,
-                probe_deadline,
-            ) {
-                Some(rtt) => {
-                    self.observe_phase_ms(TimeoutPhase::Probe, rtt, net.sim.now(), span);
-                    samples.push(rtt);
-                }
-                None => {
-                    lost += 1;
-                    self.metrics.on_probe_timed_out();
-                    self.observe_probe_timeout();
-                    if lost > self.config.max_lost_probes {
-                        self.metrics
-                            .trace(format!("probes_lost circuit={} lost={lost}", circuit.0));
-                        net.controller.close_stream(&mut net.sim, stream);
-                        net.controller.close_circuit(&mut net.sim, circuit);
-                        self.observe_error(&TingError::ProbeLost, net.sim.now(), span);
-                        self.observe_circuit_end(span, TingError::ProbeLost.code(), net.sim.now());
-                        return Err(TingError::ProbeLost);
-                    }
-                }
-            }
-        }
-
-        net.controller.close_stream(&mut net.sim, stream);
-        net.controller.close_circuit(&mut net.sim, circuit);
-        net.sim.run_until_idle();
-        self.observe_circuit_end(span, "ok", net.sim.now());
-        Ok(CircuitSamples::new(samples))
+        parallel::drive_one(net, self, vec![(path, kind)])
+            .map(|(mut circuits, _)| circuits.pop().expect("one circuit"))
     }
 
     /// Opens a `scan.pair` span for a measurement of `(a, b)` from
-    /// `vantage`. Used by both scan drivers so sequential and parallel
-    /// traces carry identically-shaped pair spans.
+    /// `vantage`, when the engine starts measuring the pair.
     pub(crate) fn observe_pair_begin(
         &self,
         a: NodeId,
@@ -650,7 +485,7 @@ impl Ting {
 /// The estimator role of a circuit judging only by its path shape:
 /// four hops is the full `C_xy` circuit; a two-hop leg sampled outside
 /// [`Ting::measure_pair`] cannot be told apart as `C_x` vs `C_y`.
-pub(crate) fn circuit_kind_of(path: &[NodeId]) -> &'static str {
+fn circuit_kind_of(path: &[NodeId]) -> &'static str {
     if path.len() == 4 {
         "full"
     } else {
@@ -728,6 +563,26 @@ mod tests {
         let rel =
             (fast.estimate_ms() - accurate.estimate_ms()).abs() / accurate.estimate_ms().max(1.0);
         assert!(rel < 0.25, "fast estimate off by {rel}");
+    }
+
+    #[test]
+    fn sample_circuit_follows_the_retry_policy() {
+        let attempts = |max_attempts: u32| {
+            let mut net = TorNetworkBuilder::testbed(16).build();
+            let dead = net.relays[6];
+            net.crash_relay(dead, None);
+            let ting = Ting::new(TingConfig {
+                max_attempts,
+                circuit_build_timeout_ms: Some(2_000.0),
+                ..TingConfig::with_samples(5)
+            });
+            let path = vec![net.local_w, dead];
+            let err = ting.sample_circuit(&mut net, path).unwrap_err();
+            assert!(matches!(err, TingError::CircuitBuildFailed { .. }));
+            ting.metrics.snapshot().retries
+        };
+        assert_eq!(attempts(3), 2);
+        assert_eq!(attempts(1), 0, "max_attempts: 1 makes a single attempt");
     }
 
     #[test]

@@ -10,15 +10,18 @@
 //! them over the single `netsim` event loop so K pairs are measured
 //! concurrently *in virtual time*.
 //!
-//! The sequential [`crate::orchestrator::Ting::measure_pair`] blocks on
-//! `run_until_idle`, which cannot overlap two measurements. Here each
-//! measurement is a poll-driven state machine ([`PairTask`]) that
-//! issues controller commands without draining the queue; the driver
-//! ([`measure_interleaved`]) peeks the next event time
+//! Every Ting measurement in the crate runs here. A measurement is a
+//! poll-driven state machine ([`PairTask`]) that samples an ordered
+//! list of circuits — `C_xy`, `C_x`, `C_y` for a pair, a single circuit
+//! for [`Ting::sample_circuit`] — issuing controller commands without
+//! ever draining the queue itself. The driver peeks the next event time
 //! ([`netsim::Simulator::next_event_at`]), compares it with every
 //! task's earliest wake-up deadline, and advances whichever comes
-//! first. The event stream — and therefore every estimate — remains a
-//! deterministic function of `(seed, K, assignment order)`.
+//! first. [`Ting::measure_pair`] and [`Ting::sample_circuit`] are
+//! one-task drives on vantage 0; [`measure_interleaved`] keeps one task
+//! in flight per vantage. The event stream — and therefore every
+//! estimate — remains a deterministic function of
+//! `(seed, K, assignment order)`.
 
 use crate::estimator::{CircuitSamples, TingMeasurement};
 use crate::orchestrator::{Ting, TingError};
@@ -36,8 +39,8 @@ pub struct PairOutcome {
     pub vantage: usize,
     /// Virtual instant the measurement finished (success or failure).
     pub completed_at: SimTime,
-    /// The pair's `scan.pair` trace span, opened by the engine when the
-    /// measurement started. The completion handler must close it (the
+    /// The pair's `scan.pair` trace span, opened when the measurement
+    /// started. The completion handler must close it (the
     /// scanner does so with the validation outcome;
     /// [`measure_interleaved`] closes it with the raw result).
     pub span: obs::SpanId,
@@ -46,7 +49,7 @@ pub struct PairOutcome {
 
 /// Where one in-flight measurement currently is.
 enum TaskState {
-    /// About to build the current phase's circuit.
+    /// About to build the current circuit.
     StartPhase,
     /// Waiting for the circuit build to settle.
     Building {
@@ -79,27 +82,31 @@ enum TaskState {
     Done,
 }
 
-/// A poll-driven measurement of one pair through one vantage: the same
-/// three-circuit, retry-under-backoff procedure as
-/// [`Ting::measure_pair`], restructured so it never drains the event
-/// queue itself and can therefore interleave with other tasks.
+/// The circuits a task samples, in order: each relay path with its
+/// Eq. (4) role (`full`, `x`, `y`, or `leg` for a bare circuit).
+pub(crate) type CircuitPlan = Vec<(Vec<NodeId>, &'static str)>;
+
+/// What a finished task hands back: one sample set per planned circuit,
+/// in order, and the virtual seconds the task took.
+pub(crate) type TaskResult = Result<(Vec<CircuitSamples>, f64), TingError>;
+
+/// A poll-driven measurement through one vantage: each planned circuit
+/// is built, given an echo stream, sampled under the policy and torn
+/// down, with failed attempts retried under backoff through the same
+/// relays. It never drains the event queue itself, so it can interleave
+/// with other tasks.
 struct PairTask {
-    x: NodeId,
-    y: NodeId,
-    w: NodeId,
-    z: NodeId,
+    circuits: CircuitPlan,
     echo: NodeId,
     /// Vantage index this task measures from (trace attribution).
     vantage: usize,
-    /// The open `scan.pair` span (id 0 when not tracing).
-    pair_span: obs::SpanId,
     /// The `ting.circuit` span of the in-flight attempt, tagging every
     /// phase/error event recorded while it is open.
     circuit_span: obs::SpanId,
     started: SimTime,
-    /// 0 = `C_xy`, 1 = `C_x`, 2 = `C_y`.
+    /// Index into `circuits` of the circuit being sampled.
     phase: usize,
-    /// 1-based attempt counter for the current phase.
+    /// 1-based attempt counter for the current circuit.
     attempt: u32,
     samples: Vec<f64>,
     lost: u32,
@@ -111,29 +118,15 @@ struct PairTask {
     /// When the in-flight stream open was issued.
     open_started: SimTime,
     state: TaskState,
-    result: Option<Result<TingMeasurement, TingError>>,
+    result: Option<TaskResult>,
 }
 
 impl PairTask {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        x: NodeId,
-        y: NodeId,
-        w: NodeId,
-        z: NodeId,
-        echo: NodeId,
-        vantage: usize,
-        pair_span: obs::SpanId,
-        now: SimTime,
-    ) -> PairTask {
+    fn new(circuits: CircuitPlan, echo: NodeId, vantage: usize, now: SimTime) -> PairTask {
         PairTask {
-            x,
-            y,
-            w,
-            z,
+            circuits,
             echo,
             vantage,
-            pair_span,
             circuit_span: obs::SpanId(0),
             started: now,
             phase: 0,
@@ -149,13 +142,9 @@ impl PairTask {
         }
     }
 
-    /// The relay path of the current phase.
+    /// The relay path of the current circuit.
     fn phase_path(&self) -> Vec<NodeId> {
-        match self.phase {
-            0 => vec![self.w, self.x, self.y, self.z],
-            1 => vec![self.w, self.x],
-            _ => vec![self.w, self.y],
-        }
+        self.circuits[self.phase].0.clone()
     }
 
     fn deadline(sim: &Simulator, timeout_ms: Option<f64>) -> Option<SimTime> {
@@ -166,10 +155,9 @@ impl PairTask {
         deadline.is_some_and(|d| sim.now() >= d)
     }
 
-    /// Handles a failed circuit attempt: retry under the same jittered
-    /// exponential backoff as the sequential pipeline, or conclude the
-    /// measurement once attempts are exhausted (or the failure is
-    /// permanent).
+    /// Handles a failed circuit attempt: retry under jittered
+    /// exponential backoff, or conclude the measurement once attempts
+    /// are exhausted (or the failure is permanent).
     fn fail_attempt(&mut self, sim: &Simulator, ting: &Ting, err: TingError) {
         // Whatever happens next (retry or give up), this attempt's
         // circuit is over — close its span so no error path leaks one.
@@ -223,10 +211,12 @@ impl PairTask {
     /// woken at (`None` = it is waiting purely on network events).
     ///
     /// `idle` tells the task the global event queue has drained with no
-    /// other task holding a wake-up — the interleaved equivalent of
-    /// `run_until_idle` returning in the sequential pipeline, at which
-    /// point an unmet condition (circuit not ready, echo not arrived)
-    /// can never be met and must be treated as a failure/timeout.
+    /// task holding a wake-up. Only a wait with no deadline can be
+    /// pending then (a deadline is a wake-up), and its condition
+    /// (circuit ready, stream open, echo back) can never be met any
+    /// more, so it is treated as a failure/timeout. A wait with a
+    /// deadline always runs to its deadline: a lost probe costs its full
+    /// timeout in virtual time.
     fn poll(
         &mut self,
         sim: &mut Simulator,
@@ -241,12 +231,7 @@ impl PairTask {
                     self.lost = 0;
                     self.probe_idx = 0;
                     self.build_started = sim.now();
-                    let kind = match self.phase {
-                        0 => "full",
-                        1 => "x",
-                        _ => "y",
-                    };
-                    let path = self.phase_path();
+                    let (path, kind) = self.circuits[self.phase].clone();
                     self.circuit_span = ting.observe_circuit_begin(
                         &path,
                         kind,
@@ -419,8 +404,8 @@ impl PairTask {
         }
     }
 
-    /// Seals the current phase's samples, tears the circuit down, and
-    /// either advances to the next phase or completes the measurement.
+    /// Seals the current circuit's samples, tears the circuit down, and
+    /// either moves on to the next circuit or completes the measurement.
     fn finish_phase(
         &mut self,
         sim: &mut Simulator,
@@ -436,22 +421,59 @@ impl PairTask {
             .push(CircuitSamples::new(std::mem::take(&mut self.samples)));
         self.phase += 1;
         self.attempt = 1;
-        if self.phase == 3 {
-            let y_leg = self.phase_samples.pop().expect("three phases");
-            let x_leg = self.phase_samples.pop().expect("three phases");
-            let full = self.phase_samples.pop().expect("three phases");
+        if self.phase == self.circuits.len() {
             let elapsed_s = (sim.now() - self.started).as_secs_f64();
-            self.result = Some(Ok(TingMeasurement {
-                full,
-                x_leg,
-                y_leg,
-                elapsed_s,
-            }));
+            self.result = Some(Ok((std::mem::take(&mut self.phase_samples), elapsed_s)));
             self.state = TaskState::Done;
         } else {
             self.state = TaskState::StartPhase;
         }
     }
+}
+
+/// The three circuits of a §3.3 pair measurement from local relays
+/// `(w, z)`: `C_xy`, `C_x`, `C_y`.
+pub(crate) fn pair_circuits(w: NodeId, x: NodeId, y: NodeId, z: NodeId) -> CircuitPlan {
+    vec![
+        (vec![w, x, y, z], "full"),
+        (vec![w, x], "x"),
+        (vec![w, y], "y"),
+    ]
+}
+
+/// Assembles a finished [`pair_circuits`] task into its measurement.
+pub(crate) fn pair_measurement(
+    (circuits, elapsed_s): (Vec<CircuitSamples>, f64),
+) -> TingMeasurement {
+    let mut circuits = circuits.into_iter();
+    let mut next = || circuits.next().expect("three circuits");
+    TingMeasurement {
+        full: next(),
+        x_leg: next(),
+        y_leg: next(),
+        elapsed_s,
+    }
+}
+
+/// Runs one task on vantage 0 to completion — the engine behind
+/// [`Ting::measure_pair`] and [`Ting::sample_circuit`].
+pub(crate) fn drive_one(net: &mut TorNetwork, ting: &Ting, circuits: CircuitPlan) -> TaskResult {
+    let (_, _, echo) = net.vantage_endpoints(0);
+    let mut task = Some(PairTask::new(circuits, echo, 0, net.sim.now()));
+    let mut out = None;
+    drive(
+        net,
+        ting,
+        |_, v| {
+            if v == 0 {
+                task.take().map(|t| ((), t))
+            } else {
+                None
+            }
+        },
+        |(), _, result, _| out = Some(result),
+    );
+    out.expect("the task ran to completion")
 }
 
 /// Measures `assignments` — `(vantage, x, y)` triples — with one
@@ -505,7 +527,48 @@ pub fn measure_interleaved_with(
         assert!(v < k, "assignment to vantage {v} but only {k} provisioned");
         shards[v].push_back((x, y));
     }
-    let mut active: Vec<Option<PairTask>> = (0..k).map(|_| None).collect();
+    drive(
+        net,
+        ting,
+        |net, v| {
+            let (x, y) = shards[v].pop_front()?;
+            let (w, z, echo) = net.vantage_endpoints(v);
+            let now = net.sim.now();
+            let span = ting.observe_pair_begin(x, y, v, now);
+            let task = PairTask::new(pair_circuits(w, x, y, z), echo, v, now);
+            Some(((x, y, span), task))
+        },
+        |(x, y, span), vantage, result, completed_at| {
+            on_complete(PairOutcome {
+                x,
+                y,
+                vantage,
+                completed_at,
+                span,
+                result: result.map(pair_measurement),
+            })
+        },
+    );
+}
+
+/// The driver: keeps one task in flight per vantage until `next` has no
+/// more work for any of them. `next(net, v)` supplies vantage `v`'s next
+/// task (with a caller tag) when its previous one finishes;
+/// `on_complete(tag, v, result, now)` runs at the virtual instant the
+/// task finishes.
+///
+/// # Panics
+/// Panics when the driver detects a livelock (a task neither
+/// progressing nor holding a wake-up — a bug, not an expected runtime
+/// condition).
+fn drive<T>(
+    net: &mut TorNetwork,
+    ting: &Ting,
+    mut next: impl FnMut(&TorNetwork, usize) -> Option<(T, PairTask)>,
+    mut on_complete: impl FnMut(T, usize, TaskResult, SimTime),
+) {
+    let k = net.vantage_count();
+    let mut active: Vec<Option<(T, PairTask)>> = (0..k).map(|_| None).collect();
     let mut idle_pending = false;
     let mut stuck_polls = 0u32;
 
@@ -513,35 +576,24 @@ pub fn measure_interleaved_with(
         let idle = std::mem::take(&mut idle_pending);
         let mut wake: Option<SimTime> = None;
         let mut any_active = false;
-        for v in 0..k {
-            if active[v].is_none() {
-                if let Some((x, y)) = shards[v].pop_front() {
-                    let (w, z, echo) = net.vantage_endpoints(v);
-                    let span = ting.observe_pair_begin(x, y, v, net.sim.now());
-                    active[v] = Some(PairTask::new(x, y, w, z, echo, v, span, net.sim.now()));
-                }
+        for (v, slot) in active.iter_mut().enumerate() {
+            if slot.is_none() {
+                *slot = next(net, v);
             }
-            let Some(task) = active[v].as_mut() else {
+            let Some((_, task)) = slot.as_mut() else {
                 continue;
             };
             any_active = true;
             let (sim, ctl, _, _, _) = net.vantage_parts(v);
             let hint = task.poll(sim, ctl, ting, idle);
             if let Some(result) = task.result.take() {
-                on_complete(PairOutcome {
-                    x: task.x,
-                    y: task.y,
-                    vantage: v,
-                    completed_at: net.sim.now(),
-                    span: task.pair_span,
-                    result,
-                });
-                active[v] = None;
+                let (tag, _) = slot.take().expect("task is active");
+                on_complete(tag, v, result, net.sim.now());
             } else if let Some(h) = hint {
                 wake = Some(wake.map_or(h, |w| w.min(h)));
             }
         }
-        if !any_active && shards.iter().all(VecDeque::is_empty) {
+        if !any_active {
             break;
         }
 

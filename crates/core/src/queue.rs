@@ -9,10 +9,10 @@
 //! O(log n) per measurement outcome, so planning a round costs
 //! O(round size · log n) instead of O(n²).
 //!
-//! The ordering contract is exactly `Scanner::plan_round`'s, and a
-//! property test (`tests/parallel_scan.rs`) replays randomized
-//! measure/fail/staleness histories against both implementations to
-//! hold the two to bit-equality.
+//! The ordering contract is exactly the O(n²) reference planner's
+//! (`plan_round` in `tests/parallel_scan.rs`), and a property test
+//! there replays randomized measure/fail/staleness histories against
+//! both implementations to hold the two to bit-equality.
 
 use netsim::{NodeId, SimDuration, SimTime};
 use std::collections::{BTreeSet, HashMap};
@@ -334,7 +334,7 @@ impl WorkQueue {
     }
 
     /// The pairs the scanner should measure next, most urgent first —
-    /// the incremental equivalent of the old O(n²) `plan_round` sweep.
+    /// the incremental equivalent of the O(n²) reference sweep.
     pub fn plan(&mut self, now: SimTime, limit: usize) -> Vec<(NodeId, NodeId)> {
         self.normalize(now);
         self.unmeasured

@@ -210,48 +210,6 @@ impl Scanner {
             .map(|f| (f.attempts, f.next_attempt_at))
     }
 
-    /// Pairs the scanner would measure next, most urgent first:
-    /// never-measured pairs, then stale ones, oldest first. Pairs whose
-    /// failure backoff has not expired are withheld.
-    ///
-    /// This is the original O(n²) full sweep, kept as the executable
-    /// specification of the priority order. The scan loop itself plans
-    /// through the incremental [`WorkQueue`] instead; a property test
-    /// replays randomized histories against both to keep them
-    /// bit-equal.
-    pub fn plan_round(&self, now: SimTime) -> Vec<(NodeId, NodeId)> {
-        let nodes = self.matrix.nodes().to_vec();
-        let mut unmeasured = Vec::new();
-        let mut stale: Vec<((NodeId, NodeId), SimTime)> = Vec::new();
-        for (i, &a) in nodes.iter().enumerate() {
-            for &b in &nodes[i + 1..] {
-                let k = key(a, b);
-                if self.scope.as_ref().is_some_and(|s| !s.contains(&k)) {
-                    continue; // owned by another shard
-                }
-                if let Some(f) = self.pending_retry.get(&k) {
-                    if now < f.next_attempt_at {
-                        continue; // backing off
-                    }
-                }
-                match self.measured_at.get(&k) {
-                    None => unmeasured.push((a, b)),
-                    Some(&t) => {
-                        if now.since(t) >= self.config.staleness {
-                            stale.push(((a, b), t));
-                        }
-                    }
-                }
-            }
-        }
-        stale.sort_by_key(|&(_, t)| t);
-        unmeasured
-            .into_iter()
-            .chain(stale.into_iter().map(|(p, _)| p))
-            .take(self.config.pairs_per_round)
-            .collect()
-    }
-
     /// The backoff pause after the `attempts`-th consecutive failure.
     fn backoff(&self, attempts: u32) -> SimDuration {
         crate::backoff::exponential(
@@ -605,77 +563,25 @@ impl Scanner {
         ting.obs().inc("ting.pair_requeued");
     }
 
-    /// Executes one round against the network. Failed measurements
+    /// Executes one round against the network. The round's pairs are
+    /// sharded round-robin over every provisioned vantage (see
+    /// [`tor_sim::TorNetworkBuilder::vantages`]) and measured
+    /// concurrently in virtual time via
+    /// [`crate::parallel::measure_interleaved_with`]; with one vantage
+    /// they are measured one after another. Outcomes are recorded *at
+    /// each measurement's own completion instant* — the engine hands
+    /// them over before the simulation moves on, so cache, health, and
+    /// trace bookkeeping all land time-ordered. Failed measurements
     /// (circuit build failures on churned relays, lost probes) are
     /// re-queued under exponential backoff rather than poisoning the
     /// cache or hot-looping on a dead relay.
     ///
     /// Planning and reporting both come from the incremental work
-    /// queue — one O(round · log n) plan per round instead of the two
-    /// O(n²) sweeps the scanner used to pay — and
+    /// queue — one O(round · log n) plan per round — and
     /// [`RoundReport::still_pending`] is the *true* backlog, not capped
     /// at [`ScannerConfig::pairs_per_round`].
     pub fn run_round(&mut self, net: &mut TorNetwork, ting: &Ting) -> RoundReport {
-        self.rounds_run += 1;
-        let plan = self.plan_round_healthy(net.sim.now(), ting);
-        let round = ting.obs().span_begin(
-            obs::names::SCAN_ROUND_BEGIN,
-            net.sim.now().as_nanos(),
-            vec![("planned", Value::U64(plan.len() as u64))],
-        );
-        let mut measured = 0;
-        let mut failed = 0;
-        for (a, b) in plan {
-            let pair_span = ting.observe_pair_begin(a, b, 0, net.sim.now());
-            match ting.measure_pair(net, a, b) {
-                Ok(m) => {
-                    self.note_pair_outcome(a, b, Ok(()), net.sim.now(), ting);
-                    let accepted = self.record_success(a, b, &m, net.sim.now(), ting);
-                    if accepted {
-                        measured += 1;
-                    } else {
-                        failed += 1;
-                    }
-                    self.observe_pair_end(pair_span, Ok(accepted), net.sim.now(), ting);
-                }
-                Err(
-                    ref e @ (TingError::CircuitBuildFailed { .. }
-                    | TingError::StreamFailed
-                    | TingError::ProbeLost),
-                ) => {
-                    failed += 1;
-                    self.note_pair_outcome(a, b, Err(e), net.sim.now(), ting);
-                    self.record_failure(a, b, net.sim.now(), ting);
-                    self.observe_pair_end(pair_span, Err(e), net.sim.now(), ting);
-                }
-            }
-        }
-        let report = RoundReport {
-            measured,
-            failed,
-            still_pending: self.queue.backlog(net.sim.now()),
-        };
-        self.observe_round_end(round, report, net.sim.now(), ting);
-        report
-    }
-
-    /// Executes one round with the round's pairs sharded round-robin
-    /// over every provisioned vantage (see
-    /// [`tor_sim::TorNetworkBuilder::vantages`]) and measured
-    /// concurrently in virtual time via
-    /// [`crate::parallel::measure_interleaved_with`]. Outcomes are
-    /// recorded *at each measurement's own completion instant* — the
-    /// engine hands them over before the simulation moves on, so cache,
-    /// health, and trace bookkeeping all land time-ordered.
-    ///
-    /// With a single vantage this *is* [`Scanner::run_round`] — the
-    /// sequential path is invoked directly, so `K = 1` output stays
-    /// bit-identical to the sequential scanner's.
-    pub fn run_round_parallel(&mut self, net: &mut TorNetwork, ting: &Ting) -> RoundReport {
         let k = net.vantage_count();
-        if k <= 1 {
-            return self.run_round(net, ting);
-        }
         self.rounds_run += 1;
         let plan = self.plan_round_healthy(net.sim.now(), ting);
         let round = ting.obs().span_begin(
@@ -1156,6 +1062,12 @@ mod tests {
         (net, scanner, Ting::new(TingConfig::fast()))
     }
 
+    /// The next round's plan, read from the work queue.
+    fn plan(scanner: &mut Scanner, now: SimTime) -> Vec<(NodeId, NodeId)> {
+        let cap = scanner.config.pairs_per_round;
+        scanner.queue.plan(now, cap)
+    }
+
     #[test]
     fn rounds_converge_to_full_coverage() {
         let (mut net, mut scanner, ting) = setup(10);
@@ -1177,7 +1089,7 @@ mod tests {
         scanner.run_round(&mut net, &ting);
         assert!(scanner.matrix().is_complete());
         // Immediately afterwards nothing is stale.
-        assert!(scanner.plan_round(net.sim.now()).is_empty());
+        assert!(plan(&mut scanner, net.sim.now()).is_empty());
     }
 
     #[test]
@@ -1193,8 +1105,7 @@ mod tests {
         // ordered oldest-first.
         let later = netsim::SimTime::ZERO + netsim::SimDuration::from_hours(48);
         net.sim.advance_to(later);
-        let plan = scanner.plan_round(net.sim.now());
-        assert!(!plan.is_empty());
+        assert!(!plan(&mut scanner, net.sim.now()).is_empty());
         scanner.run_round(&mut net, &ting);
         let t1 = scanner.measured_at(first_pair.0, first_pair.1).unwrap();
         assert!(t1 > t0, "stale pair not refreshed");
@@ -1206,20 +1117,19 @@ mod tests {
         // Measure 27 of 28 pairs; age them; the unmeasured pair must
         // come first in the next plan.
         scanner.run_round(&mut net, &ting);
-        let plan_before = scanner.plan_round(net.sim.now());
+        let plan_before = plan(&mut scanner, net.sim.now());
         assert_eq!(plan_before.len(), 1, "one pair left unmeasured");
         let missing = plan_before[0];
         net.sim
             .advance_to(netsim::SimTime::ZERO + netsim::SimDuration::from_hours(48));
-        let plan = scanner.plan_round(net.sim.now());
-        assert_eq!(plan[0], missing);
+        assert_eq!(plan(&mut scanner, net.sim.now())[0], missing);
     }
 
     #[test]
     fn still_pending_reports_true_backlog_beyond_round_cap() {
         let (mut net, mut scanner, ting) = setup(5);
         // 8 nodes → 28 pairs, 5 measured per round. The old report
-        // derived `still_pending` from a second `plan_round` sweep,
+        // derived `still_pending` from a second O(n²) planning sweep,
         // which capped it at `pairs_per_round`; it must be the true
         // backlog.
         let r = scanner.run_round(&mut net, &ting);
@@ -1254,8 +1164,8 @@ mod tests {
         let (attempts, next_at) = scanner.retry_state(NodeId(1), NodeId(2)).unwrap();
         assert_eq!(attempts, 1);
         assert!(next_at > now);
-        assert!(scanner.plan_round(now).is_empty());
-        assert_eq!(scanner.plan_round(next_at), vec![(NodeId(1), NodeId(2))]);
+        assert!(plan(&mut scanner, now).is_empty());
+        assert_eq!(plan(&mut scanner, next_at), vec![(NodeId(1), NodeId(2))]);
         // A plausible re-measurement is accepted and clears the backoff.
         assert!(scanner.record_success(NodeId(1), NodeId(2), &sampled(50.0, 20.0), next_at, &ting));
         assert_eq!(scanner.matrix().get(NodeId(1), NodeId(2)), Some(30.0));

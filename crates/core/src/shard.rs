@@ -846,7 +846,7 @@ impl Supervisor {
         );
         let slot = &mut self.slots[k];
         let r = match (slot.scanner.as_mut(), slot.ting.as_ref()) {
-            (Some(scanner), Some(ting)) => scanner.run_round_parallel(net, ting),
+            (Some(scanner), Some(ting)) => scanner.run_round(net, ting),
             // Unreachable (guarded above), but a missed round is a
             // better failure mode than a poisoned supervisor.
             _ => RoundReport {

@@ -8,9 +8,8 @@
 //! literature (Imani et al., arXiv:1706.06457) confirms the learned
 //! cutoff beats any global constant. This module does the same for the
 //! measurement pipeline's three phases — circuit build, stream attach,
-//! probe echo — so both the sequential orchestrator and the parallel
-//! driver cut off stragglers at the observed p95 (plus headroom)
-//! rather than a hardcoded constant.
+//! probe echo — so the measurement engine cuts off stragglers at the
+//! observed p95 (plus headroom) rather than a hardcoded constant.
 //!
 //! Only *successful* phase durations feed the estimator: timeouts are
 //! censored observations and would drag the quantile toward whatever

@@ -8,14 +8,15 @@
 //!    an `Off` run, a `Metrics` run, and a `Trace` run of the same
 //!    campaign end in bit-identical scanner checkpoints at the same
 //!    virtual instant;
-//! 3. the `K = 1` parallel engine logs event-for-event equal to the
-//!    sequential orchestrator (the scanner delegates, and the raw
-//!    interleaved engine keeps the same build/stream skeleton).
+//! 3. the measurement engine's output is pinned: a fixed-seed,
+//!    fault-laden `K = 2` scan ends in a checkpoint and virtual instant
+//!    whose digest is a recorded constant, and at `K = 1` a lost probe
+//!    costs its full deadline in virtual time.
 
 use netsim::{FaultPlan, NodeId, SimDuration};
-use ting::obs::{config_hash, Event, ExportMeta, Obs, ObsConfig, Value};
-use ting::{measure_interleaved, Scanner, ScannerConfig, Ting, TingConfig};
-use tor_sim::{TorNetwork, TorNetworkBuilder};
+use ting::obs::{config_hash, ExportMeta, Obs, ObsConfig};
+use ting::{Scanner, ScannerConfig, Ting, TingConfig};
+use tor_sim::TorNetworkBuilder;
 
 const SEED: u64 = 0x601d;
 
@@ -104,77 +105,65 @@ fn observability_level_never_changes_behaviour() {
     assert_eq!(off_now, trc_now);
 }
 
-/// One scan round over a single-vantage network, sequentially or via
-/// the parallel entry point, exported as JSONL.
-fn k1_round(parallel: bool) -> String {
-    let obs = Obs::new(ObsConfig::Trace);
-    let mut net = TorNetworkBuilder::live(SEED, 8)
-        .observability(obs.clone())
+/// A three-round scan of a 12-relay, 2-vantage network under 1% link
+/// loss: CRC-32 of the final checkpoint and the final virtual instant.
+fn k2_lossy_scan_digest() -> (u32, u64) {
+    let mut net = TorNetworkBuilder::live(SEED, 12)
+        .vantages(2)
+        .fault_plan(FaultPlan::new(SEED ^ 0x2).with_link_loss(0.01))
         .build();
-    let ting = Ting::with_obs(TingConfig::fast(), obs.clone());
-    let mut scanner = Scanner::new(net.relays.clone(), ScannerConfig::default());
-    let report = if parallel {
-        scanner.run_round_parallel(&mut net, &ting)
-    } else {
-        scanner.run_round(&mut net, &ting)
-    };
-    assert!(report.measured > 0);
-    obs.export_jsonl(&meta(SEED))
-}
-
-/// Contract 3a: with one vantage the parallel scanner *is* the
-/// sequential scanner — its trace is byte-for-byte the same document.
-#[test]
-fn parallel_k1_round_logs_identically_to_sequential() {
-    assert_eq!(k1_round(false), k1_round(true));
-}
-
-/// The build/stream structural skeleton of a trace: circuit-phase
-/// completions (probe excluded — its sampling interleaves differently
-/// under the raw engine), plus every error and retry event, in order.
-fn phase_skeleton(events: &[Event]) -> Vec<String> {
-    events
-        .iter()
-        .filter_map(|e| match e.name {
-            "ting.phase" => e.fields.iter().find_map(|(k, v)| match (k, v) {
-                (&"phase", Value::Str(s)) if s != "probe" => Some(format!("phase:{s}")),
-                _ => None,
-            }),
-            "ting.error" | "ting.retry" => Some(e.name.to_string()),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Contract 3b: even the *raw* interleaved engine at `K = 1` walks the
-/// same circuit-phase skeleton as the sequential orchestrator: the same
-/// builds and stream-opens succeed, in the same order, with no extra
-/// errors or retries.
-#[test]
-fn interleaved_k1_phase_skeleton_matches_sequential() {
-    let pairs = |net: &TorNetwork| {
-        let n = &net.relays;
-        vec![(n[0], n[1]), (n[2], n[3]), (n[4], n[5])]
-    };
-
-    let obs_seq = Obs::new(ObsConfig::Trace);
-    let mut net_seq = TorNetworkBuilder::live(SEED, 8).build();
-    let ting_seq = Ting::with_obs(TingConfig::fast(), obs_seq.clone());
-    for (x, y) in pairs(&net_seq) {
-        ting_seq.measure_pair(&mut net_seq, x, y).unwrap();
+    let ting = Ting::new(TingConfig::fast());
+    let mut scanner = Scanner::new(
+        net.relays.clone(),
+        ScannerConfig {
+            pairs_per_round: 24,
+            retry_backoff: SimDuration::from_secs(60),
+            ..ScannerConfig::default()
+        },
+    );
+    for _ in 0..3 {
+        scanner.run_round(&mut net, &ting);
+        let next = net.sim.now() + SimDuration::from_secs(120);
+        net.sim.advance_to(next);
     }
+    let checkpoint = scanner.to_checkpoint();
+    (
+        ting::checkpoint::crc32(checkpoint.as_bytes()),
+        net.sim.now().as_nanos(),
+    )
+}
 
-    let obs_par = Obs::new(ObsConfig::Trace);
-    let mut net_par = TorNetworkBuilder::live(SEED, 8).build();
-    let ting_par = Ting::with_obs(TingConfig::fast(), obs_par.clone());
-    let assignments: Vec<(usize, NodeId, NodeId)> = pairs(&net_par)
-        .into_iter()
-        .map(|(x, y)| (0usize, x, y))
-        .collect();
-    let outcomes = measure_interleaved(&mut net_par, &ting_par, &assignments);
-    assert!(outcomes.iter().all(|o| o.result.is_ok()));
+/// Contract 3a: the multi-vantage scan is byte-for-byte the output of
+/// the engine as first recorded — estimates, timestamps, retry backoff
+/// and virtual clock. A change to any of them is a behaviour change and
+/// must re-record these constants deliberately.
+#[test]
+fn k2_lossy_scan_matches_recorded_digest() {
+    assert_eq!(k2_lossy_scan_digest(), (0x953c_540b, 6_733_807_692_772));
+}
 
-    let seq = phase_skeleton(&obs_seq.events());
-    assert!(!seq.is_empty());
-    assert_eq!(seq, phase_skeleton(&obs_par.events()));
+/// Contract 3b: with one vantage, a probe whose echo is lost costs its
+/// full `probe_timeout_ms` of virtual time. The engine waits out the
+/// deadline even when the event queue goes idle earlier, as a real
+/// client would, so the round takes at least `lost × timeout`.
+#[test]
+fn k1_lost_probes_cost_their_full_timeout() {
+    const PROBE_TIMEOUT_MS: f64 = 20_000.0;
+    let mut net = TorNetworkBuilder::live(SEED, 8)
+        .fault_plan(FaultPlan::new(SEED ^ 0x5).with_link_loss(0.02))
+        .build();
+    let ting = Ting::new(TingConfig {
+        probe_timeout_ms: Some(PROBE_TIMEOUT_MS),
+        ..TingConfig::with_samples(10)
+    });
+    let mut scanner = Scanner::new(net.relays.clone(), ScannerConfig::default());
+    let started = net.sim.now();
+    scanner.run_round(&mut net, &ting);
+    let lost = ting.metrics.snapshot().probes_timed_out;
+    assert!(lost > 0, "the loss rate was meant to drop some echoes");
+    let elapsed_ms = net.sim.now().since(started).as_millis_f64();
+    assert!(
+        elapsed_ms >= lost as f64 * PROBE_TIMEOUT_MS,
+        "{lost} lost probes took only {elapsed_ms:.0} ms in total"
+    );
 }

@@ -76,7 +76,7 @@ fn one_shard_supervised_scan_is_bit_identical_to_plain_scanner() {
     let mut scanner = Scanner::new(nodes.clone(), scanner_config());
     let ting = Ting::new(TingConfig::fast());
     for _ in 0..3 {
-        scanner.run_round_parallel(&mut net, &ting);
+        scanner.run_round(&mut net, &ting);
     }
     let plain_ckpt = scanner.to_checkpoint();
     let plain_end = net.sim.now();

@@ -168,7 +168,7 @@ fn storm_run(seed: u64, rounds: u64, kill_at: Option<u64>) -> StormOutcome {
             }
             net.refresh_consensus();
         }
-        scanner.run_round_parallel(&mut net, &ting);
+        scanner.run_round(&mut net, &ting);
 
         // Invariant: progress is monotone — a completed pair never
         // un-completes, panics aside.
@@ -232,7 +232,7 @@ fn storm_run(seed: u64, rounds: u64, kill_at: Option<u64>) -> StormOutcome {
         );
         let next = net.sim.now() + SimDuration::from_secs(1800);
         net.sim.advance_to(next);
-        scanner.run_round_parallel(&mut net, &ting);
+        scanner.run_round(&mut net, &ting);
     }
 
     StormOutcome {

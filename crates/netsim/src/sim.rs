@@ -4,7 +4,6 @@ use crate::event::{EventKind, EventQueue};
 use crate::fault::FaultPlan;
 use crate::process::{Context, Op, Process};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEvent, Tracer};
 use crate::underlay::{TrafficClass, Underlay};
 use obs::{Counter, Obs, Value};
 use rand::rngs::SmallRng;
@@ -108,7 +107,6 @@ pub struct Simulator {
     now: SimTime,
     rng: SmallRng,
     next_conn: u64,
-    tracer: Option<Tracer>,
     faults: FaultPlan,
     obs: SimObs,
 }
@@ -125,15 +123,9 @@ impl Simulator {
             now: SimTime::ZERO,
             rng: SmallRng::seed_from_u64(seed),
             next_conn: 0,
-            tracer: None,
             faults: FaultPlan::disabled(),
             obs: SimObs::default(),
         }
-    }
-
-    /// Attaches an event tracer (keep a clone to read events later).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
     }
 
     /// Attaches an observability handle (keep a clone to read the
@@ -277,27 +269,6 @@ impl Simulator {
         n
     }
 
-    /// Runs until the queue drains or the next event lies past
-    /// `deadline`, **without** advancing the clock to the deadline.
-    ///
-    /// This is the timeout primitive the resilient measurement pipeline
-    /// uses: when nothing is lost the queue drains exactly as
-    /// [`Simulator::run_until_idle`] would (identical event stream,
-    /// identical final clock), and when a reply never comes the caller
-    /// observes the deadline expiring instead of blocking forever.
-    pub fn run_until_idle_or(&mut self, deadline: SimTime) -> u64 {
-        self.ensure_started();
-        let mut n = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-            n += 1;
-        }
-        n
-    }
-
     fn ensure_started(&mut self) {
         for i in 0..self.processes.len() {
             if !self.started[i] {
@@ -344,14 +315,6 @@ impl Simulator {
         match ev.kind {
             EventKind::Deliver { conn, to, data } => {
                 self.obs.delivers.inc();
-                if let Some(t) = &self.tracer {
-                    t.record(TraceEvent::Delivered {
-                        at: self.now,
-                        conn,
-                        to,
-                        bytes: data.len(),
-                    });
-                }
                 if self.obs.obs.is_tracing() {
                     self.obs.obs.event(
                         obs::names::NET_DELIVER,
@@ -367,14 +330,6 @@ impl Simulator {
             }
             EventKind::ConnOpened { conn, at, peer } => {
                 self.obs.conns_opened.inc();
-                if let Some(t) = &self.tracer {
-                    t.record(TraceEvent::ConnOpened {
-                        at: self.now,
-                        conn,
-                        opener: peer,
-                        acceptor: at,
-                    });
-                }
                 if self.obs.obs.is_tracing() {
                     self.obs.obs.event(
                         obs::names::NET_CONN_OPENED,
@@ -394,9 +349,6 @@ impl Simulator {
             }
             EventKind::ConnClosed { conn, at } => {
                 self.obs.conns_closed.inc();
-                if let Some(t) = &self.tracer {
-                    t.record(TraceEvent::ConnClosed { at: self.now, conn });
-                }
                 if self.obs.obs.is_tracing() {
                     self.obs.obs.event(
                         obs::names::NET_CONN_CLOSED,
@@ -408,13 +360,6 @@ impl Simulator {
             }
             EventKind::Timer { node, id } => {
                 self.obs.timers.inc();
-                if let Some(t) = &self.tracer {
-                    t.record(TraceEvent::TimerFired {
-                        at: self.now,
-                        node,
-                        id,
-                    });
-                }
                 self.dispatch_to(node, |p, ctx| p.on_timer(ctx, id));
             }
         }
@@ -857,56 +802,6 @@ mod tests {
         sim.run_until_idle();
     }
 
-    #[test]
-    fn tracer_observes_connection_lifecycle() {
-        let (mut sim, _a, b) = build();
-        let tracer = crate::trace::Tracer::new(64);
-        sim.set_tracer(tracer.clone());
-
-        struct OneShot {
-            target: NodeId,
-        }
-        impl Process for OneShot {
-            fn on_start(&mut self, ctx: &mut Context) {
-                let c = ctx.open(self.target, TrafficClass::Tcp);
-                ctx.send(c, vec![1, 2, 3]);
-                ctx.close(c);
-            }
-        }
-        // Rebuild with a driver at node 0.
-        let world = World::new();
-        let nyc = world.city("New York").unwrap().location;
-        let lon = world.city("London").unwrap().location;
-        let mut u = Underlay::new(UnderlayConfig::default(), 5);
-        let a_as = u.add_as(AsProfile::datacenter("a", nyc));
-        let b_as = u.add_as(AsProfile::datacenter("b", lon));
-        let mut seed_rng = SmallRng::seed_from_u64(1);
-        u.add_node_in(a_as, nyc, [10, 0, 0, 1], &mut seed_rng);
-        u.add_node_in(b_as, lon, [10, 1, 0, 1], &mut seed_rng);
-        let mut sim = Simulator::new(u, 3);
-        sim.set_tracer(tracer.clone());
-        tracer.clear();
-        sim.add_process(Box::new(OneShot { target: NodeId(1) }));
-        sim.add_process(Box::new(IdleProcess));
-        sim.run_until_idle();
-
-        let events = tracer.events();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, crate::trace::TraceEvent::ConnOpened { .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, crate::trace::TraceEvent::Delivered { bytes: 3, .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, crate::trace::TraceEvent::ConnClosed { .. })));
-        // Timestamps are monotone.
-        for w in events.windows(2) {
-            assert!(w[0].at() <= w[1].at());
-        }
-        let _ = b;
-    }
-
     fn two_node_sim(seed: u64, pings: u32, results: Rc<RefCell<Vec<f64>>>) -> Simulator {
         let world = World::new();
         let nyc = world.city("New York").unwrap().location;
@@ -1010,17 +905,6 @@ mod tests {
         // Every message stalls 5 s each way, but they all arrive.
         assert_eq!(results.borrow().len(), 10);
         assert!(results.borrow().iter().all(|&r| r >= 10_000.0));
-    }
-
-    #[test]
-    fn run_until_idle_or_does_not_advance_clock_past_queue() {
-        let results = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = two_node_sim(321, 5, results.clone());
-        let deadline = SimTime::ZERO + SimDuration::from_hours(1);
-        sim.run_until_idle_or(deadline);
-        assert_eq!(results.borrow().len(), 5);
-        // Unlike run_until, the clock stays at the last event.
-        assert!(sim.now() < deadline);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! pushed through the whole `ting-prof` stack. The assertions are the
 //! issue's acceptance criteria:
 //!
-//! * traces from both scan drivers (sequential and parallel `K > 1`)
-//!   lint clean — every span closed on every exit path;
+//! * traces from one-vantage and multi-vantage (`K > 1`) scans lint
+//!   clean — every span closed on every exit path;
 //! * the report is a pure function of the trace bytes (byte-identical
 //!   across two independent runs of the same seed);
 //! * per-pair self-times partition each measurement span **exactly**;
@@ -55,9 +55,9 @@ fn traced_scan(seed: u64) -> String {
     obs.export_jsonl(&meta(seed))
 }
 
-/// A multi-vantage round through the parallel driver, which has its own
-/// early-return error paths to keep span-clean.
-fn traced_parallel_scan(seed: u64, vantages: usize) -> String {
+/// A multi-vantage round, with several tasks' error paths interleaved
+/// that must each stay span-clean.
+fn traced_multi_vantage_scan(seed: u64, vantages: usize) -> String {
     let obs = Obs::new(ObsConfig::Trace);
     let mut net = TorNetworkBuilder::live(seed, 12)
         .vantages(vantages)
@@ -67,16 +67,19 @@ fn traced_parallel_scan(seed: u64, vantages: usize) -> String {
     let ting = Ting::with_obs(TingConfig::fast(), obs.clone());
     let mut scanner = Scanner::new(net.relays.clone(), ScannerConfig::default());
     scanner.load_locations(&net);
-    let report = scanner.run_round_parallel(&mut net, &ting);
-    assert!(report.measured > 0, "parallel fixture measured nothing");
+    let report = scanner.run_round(&mut net, &ting);
+    assert!(
+        report.measured > 0,
+        "multi-vantage fixture measured nothing"
+    );
     obs.export_jsonl(&meta(seed))
 }
 
 #[test]
-fn both_scan_drivers_produce_lint_clean_traces() {
+fn one_and_multi_vantage_scans_produce_lint_clean_traces() {
     for (label, text) in [
-        ("sequential", traced_scan(SEED)),
-        ("parallel-k3", traced_parallel_scan(SEED, 3)),
+        ("k1", traced_scan(SEED)),
+        ("k3", traced_multi_vantage_scan(SEED, 3)),
     ] {
         let doc = obs_analyze::parse_document(&text)
             .unwrap_or_else(|e| panic!("{label}: exporter output rejected: {e}"));
